@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build test lint race race-all vet bench bench-smoke bench-simcore cover fuzz-smoke poolcheck chaos report examples serve-e2e serve-bench fleet-e2e fleet-bench mgmt-e2e clean
+.PHONY: all check build test lint race race-all vet bench bench-smoke bench-simcore perfbench-check cover fuzz-smoke poolcheck chaos report examples serve-e2e serve-bench fleet-e2e fleet-bench mgmt-e2e clean
 
 all: build test
 
@@ -70,8 +70,8 @@ bench-smoke:
 	$(GO) test -short -run xxx -bench BenchmarkSolverComparison -benchtime 1x .
 
 # Bounded fuzzing of the wire-format decoders, the three-tier control
-# protocol, the scheduler implementations (calendar/hybrid vs heap
-# oracle), and the topology graph generators + spare-policy application:
+# protocol, the DES event heap (vs a sorted-slice oracle), and the
+# topology graph generators + spare-policy application:
 # enough to catch decode panics, encoder/decoder asymmetries,
 # LP-bookkeeping drift, event-ordering divergence, and reachability
 # order-dependence in CI without open-ended runs.
@@ -84,10 +84,17 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTopology -fuzztime $(FUZZTIME) ./internal/topology/
 
 # Regenerate BENCH_simcore.json: DES-core hot-path timings (rare-event
-# Monte Carlo loop, fault-free deliver path, scheduler push/pop) against
-# the pre-rewrite seed baseline. Local, no server.
+# Monte Carlo loop, fault-free deliver path, scheduler push/pop) on this
+# host. Local, no server.
 bench-simcore:
 	$(GO) run ./cmd/dractl bench -mode simcore -out BENCH_simcore.json
+
+# Vet and unit-test the benchmark harness. perfbench/ is its own Go
+# module, so `go build ./...` and `go test ./...` at the root never
+# compile it; this keeps an internal API change from breaking it
+# unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Run every example chaos campaign through drasim with the invariant
 # wall armed; any assertion failure or invariant violation is fatal.

@@ -11,8 +11,8 @@ import (
 )
 
 // benchSimcore runs the DES-core hot-path benchmarks entirely in
-// process — no drad server is involved — and writes the before/after
-// comparison against the pre-rewrite seed baseline.
+// process — no drad server is involved — and writes this host's
+// numbers.
 func benchSimcore(fs *flag.FlagSet, args []string) int {
 	out := fs.String("out", "BENCH_simcore.json", "benchmark artifact path")
 	fs.Parse(args)
@@ -26,10 +26,9 @@ func benchSimcore(fs *flag.FlagSet, args []string) int {
 	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
 		fatal(err)
 	}
-	fmt.Println("simcore bench (before → after):")
+	fmt.Println("simcore bench (this host):")
 	for _, b := range doc.Benchmarks {
-		fmt.Printf("  %-22s %12.1f → %10.1f ns/op  (%.2fx)\n",
-			b.Name, b.Before.NsPerOp, b.After.NsPerOp, b.Speedup)
+		fmt.Printf("  %-22s %12.1f ns/op  %6g allocs/op\n", b.Name, b.NsPerOp, b.AllocsPerOp)
 	}
 	for name, allocs := range doc.SteadyStateAllocs {
 		fmt.Printf("  steady-state allocs %-18s %g\n", name, allocs)

@@ -57,6 +57,13 @@ func mgmtServer(t *testing.T, allowAnon bool, mopt jobs.Options) (*httptest.Serv
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain before the temp dirs are removed: a job the test leaves
+	// running or queued must not write into the store during removal.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		mgr.Drain(ctx)
+	})
 	t.Cleanup(func() { mg.Close() })
 	srv, err := New(Options{Manager: mgr, Metrics: metrics.NewRegistry(), Mgmt: mg})
 	if err != nil {

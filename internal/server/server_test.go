@@ -41,6 +41,13 @@ func testServer(t *testing.T, mopt jobs.Options) (*httptest.Server, *jobs.Manage
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain before the temp dirs are removed: a job the test leaves
+	// running or queued must not write into the store during removal.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		mgr.Drain(ctx)
+	})
 	srv, err := New(Options{
 		Manager: mgr, Metrics: metrics.NewRegistry(),
 		SampleInterval: 20 * time.Millisecond, Telemetry: mopt.Telemetry,

@@ -36,38 +36,36 @@ func TestKernelSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestSchedulerOpsAllocFree pins Push/Pop on every scheduler to zero
+// TestSchedulerOpsAllocFree pins Push/Pop on the event heap to zero
 // allocations under the hold model — pop one, push one at a stationary
 // population, the shape of a steady-state DES future event list — once
-// bucket/heap storage has grown to the working set.
+// heap storage has grown to the working set.
 func TestSchedulerOpsAllocFree(t *testing.T) {
 	skipUnderRace(t)
-	for name, mk := range schedulersUnderTest() {
-		t.Run(name, func(t *testing.T) {
-			s := mk()
-			var now Time
-			var seq uint64
+	t.Run("heap", func(t *testing.T) {
+		var h eventHeap
+		var now Time
+		var seq uint64
+		for i := 0; i < 64; i++ {
+			seq++
+			h.Push(&Event{at: Time(i%7) + 1, seq: seq})
+		}
+		hold := func() {
 			for i := 0; i < 64; i++ {
+				e := h.Pop()
+				now = e.at
 				seq++
-				s.Push(&Event{at: Time(i%7) + 1, seq: seq})
+				e.at, e.seq = now+Time(seq%7)+1, seq
+				h.Push(e)
 			}
-			hold := func() {
-				for i := 0; i < 64; i++ {
-					e := s.Pop()
-					now = e.at
-					seq++
-					e.at, e.seq = now+Time(seq%7)+1, seq
-					s.Push(e)
-				}
-			}
-			for i := 0; i < 32; i++ { // warm storage
-				hold()
-			}
-			if n := testing.AllocsPerRun(100, hold); n != 0 {
-				t.Fatalf("%s hold cycle allocates %v, want 0", name, n)
-			}
-		})
-	}
+		}
+		for i := 0; i < 32; i++ { // warm storage
+			hold()
+		}
+		if n := testing.AllocsPerRun(100, hold); n != 0 {
+			t.Fatalf("heap hold cycle allocates %v, want 0", n)
+		}
+	})
 }
 
 // TestRescheduleAllocFree pins the single-event retarget fast path and the

@@ -1,6 +1,5 @@
 // Package sim is a minimal discrete-event simulation kernel: a simulation
-// clock, a pluggable future event list (calendar queue in production, binary
-// heap as reference — see Scheduler) with stable FIFO ordering among
+// clock, a binary-heap future event list with stable FIFO ordering among
 // same-time events, and cancellable timers. The router, linecard, EIB, and
 // fabric models are all built on it.
 //
@@ -33,14 +32,12 @@ type Event struct {
 	at  Time
 	seq uint64
 	fn  func()
-	// pos is the event's position in the scheduler (heap index or calendar
-	// bucket), -1 while unqueued. Maintained by the Scheduler.
+	// pos is the event's heap index, -1 while unqueued. Maintained by
+	// eventHeap.
 	pos int32
 	// gen is bumped each time the record is recycled; a Timer carrying a
 	// stale generation is inert.
 	gen uint32
-	// win is the event's calendar window number, owned by Calendar.
-	win int64
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
@@ -68,7 +65,7 @@ func (t Timer) Active() bool {
 // keeps runs deterministic and reproducible.
 type Kernel struct {
 	now Time
-	q   Scheduler
+	q   eventHeap
 	seq uint64
 	// free is the recycled-event list. The kernel is single-threaded, so a
 	// plain slice beats sync.Pool: no per-P caches, no GC-cycle eviction.
@@ -95,20 +92,8 @@ type Kernel struct {
 	mSimNow    *metrics.Gauge
 }
 
-// NewKernel returns a kernel with the clock at zero, backed by the
-// adaptive Hybrid scheduler (heap regime for small event populations,
-// calendar regime for large ones).
-func NewKernel() *Kernel { return NewKernelWith(NewHybrid()) }
-
-// NewKernelWith returns a kernel backed by the given scheduler — the
-// reference heap for differential testing, or a width-pinned calendar for
-// a known event cadence.
-func NewKernelWith(q Scheduler) *Kernel {
-	if q == nil {
-		panic("sim: nil scheduler")
-	}
-	return &Kernel{q: q}
-}
+// NewKernel returns a kernel with the clock at zero and no pending events.
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Instrument resolves the kernel's metrics against reg:
 //

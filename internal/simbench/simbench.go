@@ -1,8 +1,7 @@
 // Package simbench measures the DES core hot paths — the rare-event
 // Monte Carlo loop, the fault-free packet delivery path, and raw
-// scheduler ops — and reports them against the pre-rewrite seed
-// baseline. It backs `dractl bench -mode simcore` and the
-// BENCH_simcore.json artifact.
+// scheduler ops — on the current host. It backs `dractl bench -mode
+// simcore` and the BENCH_simcore.json artifact.
 package simbench
 
 import (
@@ -13,21 +12,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/xrand"
-)
-
-// Seed-baseline numbers, measured at the commit immediately before the
-// zero-alloc simcore rewrite (binary-heap scheduler, per-event closure
-// allocation, unpooled packets) on the same workloads below.
-const (
-	seedRareEventNsPerOp     = 1.67e6 // 200 regenerative cycles, N=9 M=4
-	seedRareEventNsPerEv     = 3544
-	seedRareEventEvPerSec    = 282e3
-	seedRareEventAllocsPerEv = 34.7
-	seedDeliverNsPerOp       = 1058
-	seedDeliverAllocsPerOp   = 2
-	seedDeliverBytesPerOp    = 1692
-	seedSchedulerNsPerOp     = 66.6
-	seedSchedulerAllocsPerOp = 1
 )
 
 // Metric is one benchmark's outcome.
@@ -44,19 +28,16 @@ type Metric struct {
 	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
 }
 
-// Comparison pairs a seed-baseline metric with the current measurement.
-type Comparison struct {
-	Name    string  `json:"name"`
-	Before  Metric  `json:"before"`
-	After   Metric  `json:"after"`
-	Speedup float64 `json:"speedup"` // before.NsPerOp / after.NsPerOp
+// Benchmark is one named measurement.
+type Benchmark struct {
+	Name string `json:"name"`
+	Metric
 }
 
 // Report is the BENCH_simcore.json document.
 type Report struct {
-	Mode       string       `json:"mode"` // "simcore"
-	Scheduler  string       `json:"scheduler"`
-	Benchmarks []Comparison `json:"benchmarks"`
+	Mode       string      `json:"mode"` // "simcore"
+	Benchmarks []Benchmark `json:"benchmarks"`
 	// SteadyStateAllocs summarizes the AllocsPerRun gates that pin the
 	// warm hot paths (see internal/*/allocs_test.go); all must be zero.
 	SteadyStateAllocs map[string]float64 `json:"steady_state_allocs"`
@@ -240,43 +221,12 @@ func steadyStateAllocs() map[string]float64 {
 
 // Run executes the full simcore suite and assembles the report.
 func Run() Report {
-	rare := RunRareEvent()
-	del := RunDeliver()
-	sched := RunScheduler()
 	return Report{
-		Mode:      "simcore",
-		Scheduler: "hybrid (heap<=1024 events, calendar queue above)",
-		Benchmarks: []Comparison{
-			{
-				Name: "rare_event_200_cycles",
-				Before: Metric{
-					NsPerOp:        seedRareEventNsPerOp,
-					EventsPerSec:   seedRareEventEvPerSec,
-					NsPerEvent:     seedRareEventNsPerEv,
-					AllocsPerEvent: seedRareEventAllocsPerEv,
-				},
-				After:   rare,
-				Speedup: seedRareEventNsPerOp / rare.NsPerOp,
-			},
-			{
-				Name: "deliver_fault_free",
-				Before: Metric{
-					NsPerOp:     seedDeliverNsPerOp,
-					AllocsPerOp: seedDeliverAllocsPerOp,
-					BytesPerOp:  seedDeliverBytesPerOp,
-				},
-				After:   del,
-				Speedup: seedDeliverNsPerOp / del.NsPerOp,
-			},
-			{
-				Name: "scheduler_push_pop",
-				Before: Metric{
-					NsPerOp:     seedSchedulerNsPerOp,
-					AllocsPerOp: seedSchedulerAllocsPerOp,
-				},
-				After:   sched,
-				Speedup: seedSchedulerNsPerOp / sched.NsPerOp,
-			},
+		Mode: "simcore",
+		Benchmarks: []Benchmark{
+			{Name: "rare_event_200_cycles", Metric: RunRareEvent()},
+			{Name: "deliver_fault_free", Metric: RunDeliver()},
+			{Name: "scheduler_push_pop", Metric: RunScheduler()},
 		},
 		SteadyStateAllocs: steadyStateAllocs(),
 	}

@@ -10,13 +10,19 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/jobs"
 )
 
@@ -188,46 +194,116 @@ func TestFleetKillWorkerE2E(t *testing.T) {
 	}
 }
 
-// TestFleetBenchSmoke runs the fleet-scaling bench at a toy size and
-// schema-checks BENCH_fleet.json.
-func TestFleetBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and boots real binaries")
-	}
-	dradBin, dractlBin := buildBinaries(t)
-	out := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	cmd := exec.Command(dractlBin, "bench", "-mode", "fleet",
-		"-drad", dradBin, "-workers", "1,2", "-jobs", "2", "-reps", "128", "-out", out)
-	if b, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("bench -mode fleet: %v\n%s", err, b)
-	}
-	data, err := os.ReadFile(out)
+// fleetJSON issues one request against a fleet coordinator and decodes
+// the JSON answer, failing the test on any status but want.
+func fleetJSON(t *testing.T, method, url string, body []byte, want int, out any) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Jobs       int `json:"jobs"`
-		RepsPerJob int `json:"reps_per_job"`
-		Points     []struct {
-			Workers    int     `json:"workers"`
-			Jobs       int     `json:"jobs"`
-			WallS      float64 `json:"wall_s"`
-			JobsPerSec float64 `json:"jobs_per_sec"`
-		} `json:"points"`
-		SpeedupMax float64 `json:"speedup_max"`
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("bench artifact: %v\n%s", err, data)
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if doc.Jobs != 2 || doc.RepsPerJob != 128 || len(doc.Points) != 2 {
-		t.Fatalf("bench artifact shape wrong: %s", data)
+	if resp.StatusCode != want {
+		t.Fatalf("%s %s: HTTP %d, want %d: %s", method, url, resp.StatusCode, want, data)
 	}
-	for _, p := range doc.Points {
-		if p.Workers < 1 || p.Jobs != 2 || p.WallS <= 0 || p.JobsPerSec <= 0 {
-			t.Fatalf("empty bench point %+v in %s", p, data)
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatalf("%s %s: decoding %q: %v", method, url, data, err)
+	}
+}
+
+// TestFleetScaling checks that the fleet turns workers into throughput:
+// a batch of CPU-bound, shardable Monte-Carlo jobs must finish more
+// than 1.1x as fast on a two-worker fleet as on a one-worker fleet.
+// Both fleets stay up side by side and batches alternate between them,
+// so load from tests running beside this one hits both alike; the
+// assertion is on the median of the paired ratios. A one-CPU host
+// time-shares the two workers, so there the ratio is only logged.
+func TestFleetScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and boots real binaries")
+	}
+	const (
+		pairs     = 5
+		batchJobs = 8
+		reps      = 3072
+		minRatio  = 1.1
+	)
+	dradBin, dractlBin := buildBinaries(t)
+
+	var fleets [2]*dradProc // fleets[k-1] runs k workers
+	for i := range fleets {
+		k := i + 1
+		dir := t.TempDir()
+		coord := startCoordinatorProc(t, dradBin, filepath.Join(dir, "coord"))
+		t.Cleanup(func() { coord.cmd.Process.Kill(); coord.cmd.Wait() })
+		for w := 0; w < k; w++ {
+			id := fmt.Sprintf("scale%d-w%d", k, w)
+			wp := startWorkerProc(t, dradBin, coord.base, id, filepath.Join(dir, id))
+			t.Cleanup(func() { wp.Process.Kill(); wp.Wait() })
 		}
+		waitFor(t, 15*time.Second, fmt.Sprintf("%d workers to register", k), func() bool {
+			return fleetStatus(t, coord, dractlBin).WorkersLive == k
+		})
+		fleets[i] = coord
 	}
-	if doc.SpeedupMax <= 0 {
-		t.Fatalf("speedup_max missing: %s", data)
+
+	// batch submits batchJobs jobs to one fleet and returns the wall time
+	// until the last finishes. Every job gets a fresh seed, so none is a
+	// cache hit; MC workers are pinned to 1 so the parallelism measured
+	// is the fleet's, not the engine's.
+	seed := uint64(50000)
+	batch := func(p *dradProc) time.Duration {
+		t0 := time.Now()
+		ids := make([]string, batchJobs)
+		for i := range ids {
+			spec, err := json.Marshal(config.Spec{
+				Kind:   config.KindReliability,
+				Router: &config.RouterSpec{N: 9, M: 2},
+				MC:     &config.MCSpec{Horizon: 40000, Reps: reps, Seed: seed, Workers: 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed++
+			var snap jobs.Snapshot
+			fleetJSON(t, http.MethodPost, p.base+"/v1/jobs", spec, http.StatusAccepted, &snap)
+			ids[i] = snap.ID
+		}
+		for _, id := range ids {
+			waitFor(t, 120*time.Second, "job "+id+" to finish", func() bool {
+				var snap jobs.Snapshot
+				fleetJSON(t, http.MethodGet, p.base+"/v1/jobs/"+id, nil, http.StatusOK, &snap)
+				if snap.State.Terminal() && snap.State != jobs.StateDone {
+					t.Fatalf("job %s ended %s: %s", id, snap.State, snap.Error)
+				}
+				return snap.State == jobs.StateDone
+			})
+		}
+		return time.Since(t0)
+	}
+
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		one := batch(fleets[0])
+		two := batch(fleets[1])
+		ratios[i] = one.Seconds() / two.Seconds()
+		t.Logf("pair %d: 1 worker %v, 2 workers %v, throughput ratio %.2f", i+1, one, two, ratios[i])
+	}
+	sort.Float64s(ratios)
+	median := ratios[pairs/2]
+	cpus := runtime.NumCPU()
+	t.Logf("%d CPUs: median 2-over-1-worker throughput ratio %.2f over %d pairs of %d jobs x %d reps",
+		cpus, median, pairs, batchJobs, reps)
+	if cpus >= 2 && median <= minRatio {
+		t.Fatalf("two workers bought a %.2fx median throughput ratio over one (ratios %.2f), want > %.1fx on %d CPUs",
+			median, ratios, minRatio, cpus)
 	}
 }

@@ -9,8 +9,13 @@
 //	dramodel -analysis mttf -arch dra -n 6 -m 3
 //	dramodel -analysis reliability -sweep -nrange 3:9 -mrange 2:8 -workers 4
 //
-// -sweep fans the analysis out over an N×M grid on the worker-pool
-// sweep engine; cells with M > N are skipped.
+// -analysis is one of reliability, availability, mttf,
+// transient-availability (A(t) over -grid), interval-availability
+// (expected uptime fraction over -t), sensitivity (dR(t)/dλ per
+// failure rate) or dot (the reliability chain in Graphviz form).
+//
+// -sweep fans reliability, availability or mttf out over an N×M grid
+// on the worker-pool sweep engine; cells with M > N are skipped.
 //
 // -metrics-addr serves /metrics (computed results as gauges), expvar
 // and pprof while the solver runs; -metrics-out writes the final dump
@@ -23,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -58,7 +64,7 @@ func main() {
 // interrupted path (exit 130).
 func run() int {
 	var (
-		analysis = flag.String("analysis", "reliability", "reliability | availability | mttf")
+		analysis = flag.String("analysis", "reliability", strings.Join(analysisNames, " | "))
 		spec     = flag.String("spec", "", "run a sweep job-spec JSON file (overrides -analysis/-sweep and the grid flags)")
 		arch     = flag.String("arch", "dra", "dra | bdr")
 		n        = flag.Int("n", 6, "number of linecards N")
@@ -134,6 +140,9 @@ func run() int {
 	}
 	if (*nRange != "" || *mRange != "") && !*sweepMode {
 		usageError(fmt.Errorf("-nrange/-mrange require -sweep"))
+	}
+	if err := checkAnalysis(strings.ToLower(*analysis), *sweepMode); err != nil {
+		usageError(err)
 	}
 
 	// A SIGINT/SIGTERM cancels the sweep engine at the next cell
@@ -237,10 +246,28 @@ func run() int {
 		}
 		publish("dramodel_mttf_hours", "Last computed mean time to failure.", v)
 		fmt.Printf("%s: MTTF = %.1f hours (%.2f years)\n", md.Name, v, v/8760)
-	default:
-		usageError(fmt.Errorf("unknown analysis %q", *analysis))
 	}
 	return lc.Exit(0)
+}
+
+var (
+	// analysisNames are the -analysis values, in help order.
+	analysisNames = []string{"reliability", "availability", "mttf",
+		"transient-availability", "interval-availability", "sensitivity", "dot"}
+	// sweepAnalyses are the ones -sweep can fan out over an N×M grid.
+	sweepAnalyses = []string{"reliability", "availability", "mttf"}
+)
+
+// checkAnalysis rejects an unknown analysis, or one -sweep cannot fan
+// out, before any work starts: both are bad invocations.
+func checkAnalysis(name string, sweep bool) error {
+	switch {
+	case !slices.Contains(analysisNames, name):
+		return fmt.Errorf("unknown analysis %q (want %s)", name, strings.Join(analysisNames, ", "))
+	case sweep && !slices.Contains(sweepAnalyses, name):
+		return fmt.Errorf("analysis %q does not support -sweep (want %s)", name, strings.Join(sweepAnalyses, ", "))
+	}
+	return nil
 }
 
 func buildModel(a linecard.Arch, p models.Params, withRepair bool) (*models.Model, error) {

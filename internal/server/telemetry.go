@@ -2,7 +2,7 @@ package server
 
 // The /v1/telemetry endpoints: the HTTP face of the telemetry hub.
 // Running jobs push windowed samples through their RunContext; remote
-// producers (and dractl bench) can POST them; readers get per-job
+// producers can POST them; readers get per-job
 // range queries with pagination, a fleet aggregate, and a fleet-wide
 // NDJSON live tail that multiplexes every job's sample stream.
 
@@ -162,6 +162,7 @@ func (s *Server) telemetryTail(w http.ResponseWriter, r *http.Request) {
 		open[job] = true
 	}
 	reap := func() bool {
+		var rested []tailLine
 		for job := range open {
 			snap, err := s.mgr.Get(job)
 			if err != nil {
@@ -171,10 +172,35 @@ func (s *Server) telemetryTail(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if snap.State.Terminal() || snap.State == jobs.StateInterrupted {
-				delete(open, job)
-				if !emit(tailLine{Type: "done", Job: job, State: snap.State, UnixMs: time.Now().UnixMilli()}) {
+				rested = append(rested, tailLine{Type: "done", Job: job, State: snap.State})
+			}
+		}
+		if len(rested) == 0 {
+			return true
+		}
+		// A job publishes all its samples before it comes to rest, so
+		// the rested jobs' last samples are already buffered: send them
+		// first, or a done line would precede (and a late sample would
+		// reopen) its job.
+		for drained := false; !drained; {
+			select {
+			case smp, ok := <-sub.C:
+				if !ok {
 					return false
 				}
+				open[smp.Job] = true
+				if !emit(tailLine{Type: "sample", Sample: &smp}) {
+					return false
+				}
+			default:
+				drained = true
+			}
+		}
+		for _, line := range rested {
+			delete(open, line.Job)
+			line.UnixMs = time.Now().UnixMilli()
+			if !emit(line) {
+				return false
 			}
 		}
 		return true

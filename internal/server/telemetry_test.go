@@ -102,6 +102,42 @@ func TestTelemetryIngestQueryFleet(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated array: %d %s", resp.StatusCode, body)
 	}
+
+	// Interleaved series over several POSTs: each chunk carries every
+	// series, windows advance per series from chunk to chunk, nothing is
+	// rejected, and each series reads back whole and in order.
+	const series, chunks, perChunk = 4, 4, 25 // windows per series per chunk
+	for c := 0; c < chunks; c++ {
+		var batch []telemetry.Sample
+		for w := 1; w <= perChunk; w++ {
+			for s := 0; s < series; s++ {
+				win := uint64(c*perChunk + w)
+				batch = append(batch, telemetry.Sample{Job: fmt.Sprintf("series%d", s), Window: win,
+					Availability: 1 - 1/float64(win+1), Trials: win * 100})
+			}
+		}
+		data, _ := json.Marshal(batch)
+		resp, body = post(t, ts.URL+"/v1/telemetry", string(data))
+		json.Unmarshal(body, &ack)
+		if resp.StatusCode != http.StatusOK || ack.Ingested != len(batch) || ack.Rejected != 0 {
+			t.Fatalf("chunk %d: %d %+v %s", c, resp.StatusCode, ack, body)
+		}
+	}
+	for s := 0; s < series; s++ {
+		resp, body = get(t, fmt.Sprintf("%s/v1/telemetry/series%d", ts.URL, s))
+		qr = telemetry.QueryResult{}
+		if err := json.Unmarshal(body, &qr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("series%d read: %d %v %s", s, resp.StatusCode, err, body)
+		}
+		if len(qr.Samples) != chunks*perChunk {
+			t.Fatalf("series%d read back %d windows, want %d", s, len(qr.Samples), chunks*perChunk)
+		}
+		for i, sm := range qr.Samples {
+			if sm.Window != uint64(i+1) {
+				t.Fatalf("series%d window %d at position %d", s, sm.Window, i)
+			}
+		}
+	}
 }
 
 // TestTelemetryTailConcurrentCompletion: the fleet tail multiplexes

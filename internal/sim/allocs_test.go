@@ -10,7 +10,7 @@ import (
 // relevant pools, then pins the steady-state allocation count to zero with
 // testing.AllocsPerRun. Any regression — a new closure in the hot loop, a
 // lost free-list, an event record escaping — fails here before it shows up
-// as a throughput loss in BENCH_simcore.json.
+// as a throughput loss in perfbench's sim.ns_per_event.
 
 func skipUnderRace(t *testing.T) {
 	t.Helper()
